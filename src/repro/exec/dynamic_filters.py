@@ -125,7 +125,7 @@ class DynamicFilter:
             return cls(filter_id, 0)
         kinds = {_value_kind(v) for v in distinct}
         kind = kinds.pop() if len(kinds) == 1 else "?"
-        bloom = np.zeros(BLOOM_BITS, dtype=bool)  # host-only: coordinator filter state
+        bloom = np.zeros(BLOOM_BITS, dtype=bool)
         low = high = None
         try:
             ordered = tuple(sorted(distinct))
@@ -155,17 +155,17 @@ class DynamicFilter:
         values, nulls, kind = arrays
         valid = ~nulls
         if kind == "f":
-            valid &= ~np.isnan(values)  # host-only: filter summary build
+            valid &= ~np.isnan(values)
         live = values[valid]
         if kind == "f":
             live = live + 0.0  # -0.0 -> +0.0
         if live.size == 0:
             return cls(filter_id, 0)
-        distinct = np.unique(live)  # host-only: filter summary build
-        bloom = np.zeros(BLOOM_BITS, dtype=bool)  # host-only
+        distinct = np.unique(live)
+        bloom = np.zeros(BLOOM_BITS, dtype=bool)
         # Hash only the valid rows: hash_rows reproduces the scalar
         # function exactly, which rejects NaN (already excluded here).
-        positions = np.flatnonzero(valid)  # host-only
+        positions = np.flatnonzero(valid)
         live_hashes = kernels.hash_rows(
             [block.copy_positions(positions)], int(positions.size)
         )
@@ -245,7 +245,6 @@ class DynamicFilter:
             and self.kind == other.kind
             and (
                 (self.bloom is None) == (other.bloom is None)
-                # host-only: coordinator-side filter comparison
                 and (self.bloom is None or bool(np.array_equal(self.bloom, other.bloom)))
             )
         )
@@ -302,7 +301,7 @@ class DynamicFilter:
         if row_count == 0:
             return None
         if self.row_count == 0:
-            return np.zeros(row_count, dtype=bool)  # host-only: trivial mask
+            return np.zeros(row_count, dtype=bool)
         if kernels.enabled():
             # Encoded probe columns (the columnar scan passes dictionary
             # and RLE blocks through): decide once per distinct entry
@@ -312,24 +311,24 @@ class DynamicFilter:
             if isinstance(block, LazyBlock):
                 block = block.load()  # the filter touches this column anyway
             if isinstance(block, RunLengthBlock):
-                # host-only: single-entry verdict broadcast
+                # Single-entry verdict broadcast.
                 return np.full(row_count, self.contains_value(block.value), dtype=bool)
             if isinstance(block, DictionaryBlock):
                 dictionary = block.dictionary
                 if len(dictionary) == 0:
-                    # host-only: all rows null
+                    # All rows null.
                     return np.zeros(row_count, dtype=bool)
                 entry_keep = self.mask(dictionary, len(dictionary))
                 if entry_keep is None:
                     return None
                 indices = block.indices
-                # host-only: gather per-entry verdicts through host indices
+                # Gather per-entry verdicts through the indices.
                 clipped = np.clip(indices, 0, None)
-                return np.where(indices < 0, False, entry_keep[clipped])  # host-only
+                return np.where(indices < 0, False, entry_keep[clipped])
         arrays = kernels.primitive_arrays(block) if kernels.enabled() else None
         if arrays is None:
             # row-path: object-typed probe keys or kernels disabled
-            out = np.empty(row_count, dtype=bool)  # host-only
+            out = np.empty(row_count, dtype=bool)
             for position, value in enumerate(block.to_values()):
                 out[position] = self.contains_value(value)
             return out
@@ -340,7 +339,7 @@ class DynamicFilter:
         if self.values is None and self.bloom is not None and kind == self.kind:
             # Refine surviving rows only: NaN/null probes are already
             # excluded by the range mask, and hash_rows rejects NaN.
-            kept = np.flatnonzero(keep)  # host-only: Bloom refinement
+            kept = np.flatnonzero(keep)
             if kept.size:
                 hashes = kernels.hash_rows(
                     [block.copy_positions(kept)], int(kept.size)

@@ -11,24 +11,11 @@ columnar batch-at-a-time equivalents:
   building block for hash aggregation, DISTINCT, and semi joins.
 - :class:`VectorMultiMap` — a join build table over primitive keys:
   build rows sorted by key hash, probed in one batch per page with
-  ``xp.searchsorted`` and verified with exact vectorized compares.
+  ``np.searchsorted`` and verified with exact vectorized compares.
 - :func:`hash_rows` — batch evaluation of
   :func:`repro.connectors.hashing.stable_hash` over whole pages, used
   by the shuffle partitioner (must agree bit-for-bit with the scalar
   hash: two sinks feeding one consumer may take different paths).
-
-Every kernel routes its array work through the active
-:class:`repro.exec.backend.KernelBackend`: inputs enter via
-``backend.to_device`` (an elided no-op when the array is already
-resident), math runs on ``backend.xp``, and results that host code
-consumes leave via ``backend.to_host``. Under the numpy backend both
-transfer hooks are identity functions and ``xp is numpy``, so the host
-path is byte-for-byte the pre-seam code. Under ``simgpu`` the same
-code runs over ``DeviceArray`` handles with metered transfers; the
-join build side and dictionary codes stay device-resident across
-probe/scan pages. Remaining bare ``np.`` uses are host-boundary work
-(Block decode, python-list staging, scalar-hash fallbacks) and carry a
-``# host-only`` tag enforced by the backend-purity lint.
 
 Null / NaN / numeric-equality contract (must match the row path, which
 keys python dicts with value tuples):
@@ -64,7 +51,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.connectors.hashing import stable_hash
-from repro.exec.backend import current_backend
 from repro.exec.blocks import (
     Block,
     DictionaryBlock,
@@ -89,6 +75,8 @@ VECTOR = "vector"
 ROW = "row"
 
 _mode = os.environ.get("REPRO_KERNELS", VECTOR).strip().lower() or VECTOR
+if _mode not in (VECTOR, ROW):
+    raise ValueError(f"REPRO_KERNELS must be vector/row, got {_mode!r}")
 
 
 def get_mode() -> str:
@@ -119,22 +107,19 @@ def forced_mode(mode: str):
 
 
 # --------------------------------------------------------------------------
-# Block -> numpy extraction (host side: Blocks store host arrays, so
-# decode happens before the upload seam)
+# Block -> numpy extraction
 # --------------------------------------------------------------------------
 
 #: kind codes: 'i' = int64 (bigint/integer/date/timestamp), 'f' = float64,
 #: 'b' = boolean. Object columns have no kind.
-_INT64_MAX = np.iinfo(np.int64).max  # host-only: dtype metadata
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str]]:
     """Return ``(values, nulls, kind)`` for numpy-representable blocks.
 
     Dictionary/RLE/lazy wrappings are decoded; object columns return
-    ``None`` (caller falls back to the row path). This is the Block
-    boundary: results are host arrays, uploaded by the kernels that
-    consume them.
+    ``None`` (caller falls back to the row path).
     """
     if isinstance(block, LazyBlock):
         return primitive_arrays(block.load())
@@ -152,30 +137,25 @@ def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str
             return None
         values, nulls, kind = inner
         indices = block.indices
-        clipped = np.clip(indices, 0, None)  # host-only: Block decode
+        clipped = np.clip(indices, 0, None)
         if len(values) == 0:
             # All indices must be -1 (null) for an empty dictionary.
             n = len(indices)
             dtype = {"b": np.bool_, "f": np.float64, "i": np.int64}[kind]
-            # host-only: Block decode
             return np.zeros(n, dtype=dtype), np.ones(n, dtype=np.bool_), kind
         return values[clipped], (indices < 0) | nulls[clipped], kind
     if isinstance(block, RunLengthBlock):
         n = len(block)
         value = block.value
         if value is None:
-            # host-only: Block decode
             return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.bool_), "i"
         if isinstance(value, bool):
-            # host-only: Block decode
             return np.full(n, value, dtype=np.bool_), np.zeros(n, dtype=np.bool_), "b"
         if isinstance(value, int):
             if not (-(2**63) <= value < 2**63):
                 return None
-            # host-only: Block decode
             return np.full(n, value, dtype=np.int64), np.zeros(n, dtype=np.bool_), "i"
         if isinstance(value, float):
-            # host-only: Block decode
             return np.full(n, value, dtype=np.float64), np.zeros(n, dtype=np.bool_), "f"
         return None
     return None
@@ -194,7 +174,7 @@ def key_arrays(
     return out
 
 
-def _canonical_codes(values, kind: str, xp) -> tuple:
+def _canonical_codes(values, kind: str) -> tuple:
     """Exact int64 code per value plus a NaN mask for float columns.
 
     Codes are chosen so code equality == python value equality within
@@ -204,22 +184,21 @@ def _canonical_codes(values, kind: str, xp) -> tuple:
     """
     if kind == "f":
         normalized = values + 0.0  # -0.0 + 0.0 == 0.0
-        return normalized.view(np.int64), xp.isnan(values)
+        return normalized.view(np.int64), np.isnan(values)
     return values.astype(np.int64, copy=False), None
 
 
-def _column_codes(block: Block, row_count: int, backend):
+def _column_codes(block: Block):
     """Dense per-row codes for one key column.
 
     Returns ``(codes, cardinality, nan_rows)``: codes are dense in
     ``[0, cardinality)`` with NULL as its own code, and ``nan_rows``
     (when not None) marks non-null NaN rows that must become singleton
     groups. Dictionary blocks are coded in dictionary space — one
-    ``xp.unique`` over the entries, gathered through the indices —
+    ``np.unique`` over the entries, gathered through the indices —
     instead of materializing per-row values. Returns ``None`` for
     object-typed columns.
     """
-    xp = backend.xp
     if isinstance(block, LazyBlock):
         block = block.load()
     if isinstance(block, DictionaryBlock) and isinstance(
@@ -228,18 +207,16 @@ def _column_codes(block: Block, row_count: int, backend):
         inner = primitive_arrays(block.dictionary)
         assert inner is not None
         values, entry_nulls, kind = inner
-        indices = backend.to_device(block.indices)
+        indices = block.indices
         if len(values) == 0:
-            return xp.zeros(len(indices), dtype=np.int64), 1, None
-        values = backend.to_device(values)
-        entry_nulls = backend.to_device(entry_nulls)
-        codes, nan_mask = _canonical_codes(values, kind, xp)
-        uniq, entry_inverse = xp.unique(codes, return_inverse=True)
+            return np.zeros(len(indices), dtype=np.int64), 1, None
+        codes, nan_mask = _canonical_codes(values, kind)
+        uniq, entry_inverse = np.unique(codes, return_inverse=True)
         entry_inverse = entry_inverse.astype(np.int64, copy=False).reshape(-1)
         null_code = len(uniq)
-        entry_codes = xp.where(entry_nulls, null_code, entry_inverse)
-        clipped = xp.clip(indices, 0, None)
-        row_codes = xp.where(indices < 0, np.int64(null_code), entry_codes[clipped])
+        entry_codes = np.where(entry_nulls, null_code, entry_inverse)
+        clipped = np.clip(indices, 0, None)
+        row_codes = np.where(indices < 0, np.int64(null_code), entry_codes[clipped])
         nan_rows = None
         if nan_mask is not None and nan_mask.any():
             entry_nan = nan_mask & ~entry_nulls
@@ -249,14 +226,11 @@ def _column_codes(block: Block, row_count: int, backend):
     if arrays is None:
         return None
     values, nulls, kind = arrays
-    values = backend.to_device(values)
-    nulls = backend.to_device(nulls)
-    codes, nan_mask = _canonical_codes(values, kind, xp)
-    uniq, inverse = xp.unique(codes, return_inverse=True)
+    codes, nan_mask = _canonical_codes(values, kind)
+    uniq, inverse = np.unique(codes, return_inverse=True)
     inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-    # Nulls are their own per-column code; unconditional where avoids a
-    # per-page any() sync on device backends.
-    inverse = xp.where(nulls, np.int64(len(uniq)), inverse)
+    # Nulls are their own per-column code.
+    inverse = np.where(nulls, np.int64(len(uniq)), inverse)
     nan_rows = None
     if nan_mask is not None and nan_mask.any():
         # Null rows gather arbitrary backing values; only non-null NaNs
@@ -277,36 +251,16 @@ class Factorization:
     appears at row ``first_positions[g]`` (ascending), matching the
     insertion order a row-at-a-time dict build would produce. Rows whose
     keys contain NaN get singleton groups (NaN never equals NaN).
-
-    ``first_positions`` is host-resident (it feeds ``key_tuples``).
-    Group ids stay on the active backend's device: the vectorized
-    aggregation path drives its bincounts straight off
-    ``device_group_ids``, and the host copy is materialized lazily —
-    only consumers that genuinely walk rows on host (the per-row
-    aggregator fallback, join duplicate expansion) pay the download.
     """
 
-    __slots__ = ("_group_ids", "group_count", "first_positions", "_backend")
+    __slots__ = ("group_ids", "group_count", "first_positions")
 
-    def __init__(self, group_ids, group_count: int, first_positions, backend=None):
-        self._group_ids = group_ids
+    def __init__(
+        self, group_ids: np.ndarray, group_count: int, first_positions: np.ndarray
+    ):
+        self.group_ids = group_ids
         self.group_count = group_count
         self.first_positions = first_positions
-        self._backend = backend
-
-    @property
-    def device_group_ids(self):
-        """Group ids as the producing backend holds them — a device
-        handle under ``simgpu``, a host ndarray under numpy."""
-        return self._group_ids
-
-    @property
-    def group_ids(self) -> np.ndarray:
-        """Host int64 group ids, downloaded on first access."""
-        if self._backend is not None:
-            self._group_ids = self._backend.to_host(self._group_ids)
-            self._backend = None
-        return self._group_ids
 
 
 def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization]:
@@ -319,20 +273,16 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
         return None
     if not blocks:
         if row_count == 0:
-            # host-only: degenerate zero-row shortcut
             return Factorization(
                 np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
             )
-        # host-only: zero-key aggregation shortcut
         return Factorization(
             np.zeros(row_count, dtype=np.int64), 1, np.zeros(1, dtype=np.int64)
         )
-    backend = current_backend()
-    xp = backend.xp
     combined = None
     nan_any = None
     for block in blocks:
-        column = _column_codes(block, row_count, backend)
+        column = _column_codes(block)
         if column is None:
             return None
         inverse, cardinality, nan_rows = column
@@ -344,27 +294,22 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
             # Exact (collision-free) combine: the previous step's codes are
             # dense, so combined * cardinality + inverse is injective.
             combined = combined * cardinality + inverse
-            combined = xp.unique(combined, return_inverse=True)[1]
+            combined = np.unique(combined, return_inverse=True)[1]
             combined = combined.astype(np.int64, copy=False).reshape(-1)
     assert combined is not None
     if nan_any is not None and nan_any.any():
         combined = combined.copy()
         base = np.int64(0 if len(combined) == 0 else int(combined.max()) + 1)
-        combined[nan_any] = base + xp.arange(int(nan_any.sum()), dtype=np.int64)
-    _, first_index, inverse = xp.unique(
+        combined[nan_any] = base + np.arange(int(nan_any.sum()), dtype=np.int64)
+    _, first_index, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
     inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-    # xp.unique orders groups by code value; renumber in first-seen order.
-    order = xp.argsort(first_index, kind="stable")
-    rank = xp.empty(len(order), dtype=np.int64)
-    rank[order] = xp.arange(len(order), dtype=np.int64)
-    return Factorization(
-        rank[inverse],
-        len(order),
-        backend.to_host(first_index[order]),
-        backend,
-    )
+    # np.unique orders groups by code value; renumber in first-seen order.
+    order = np.argsort(first_index, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return Factorization(rank[inverse], len(order), first_index[order])
 
 
 def key_tuples(blocks: Sequence[Block], positions: np.ndarray) -> list[tuple]:
@@ -378,27 +323,23 @@ def group_reduce(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group ``ufunc`` reduction (sort + reduceat, no ufunc.at).
 
-    Returns host ``(result, touched)``: result[g] is the reduction over
+    Returns ``(result, touched)``: result[g] is the reduction over
     the group's values (unspecified where ``touched[g]`` is False).
     """
-    backend = current_backend()
-    xp = backend.xp
-    group_ids = backend.to_device(group_ids)
-    counts = xp.bincount(group_ids, minlength=group_count)
-    touched = backend.to_host(counts > 0)
+    counts = np.bincount(group_ids, minlength=group_count)
+    touched = counts > 0
     if not len(values):
-        # host-only: empty-page shortcut, nothing to reduce
+        # Empty page: nothing to reduce.
         return np.zeros(group_count, dtype=values.dtype), touched
-    values = backend.to_device(values)
-    order = xp.argsort(group_ids, kind="stable")
+    order = np.argsort(group_ids, kind="stable")
     sorted_values = values[order]
-    starts = xp.zeros(group_count, dtype=np.int64)
-    starts[1:] = xp.cumsum(counts[:-1])
+    starts = np.zeros(group_count, dtype=np.int64)
+    starts[1:] = np.cumsum(counts[:-1])
     # reduceat requires valid start indices; clamp empty groups onto an
     # arbitrary position and mask them out via ``touched``.
-    safe_starts = xp.minimum(starts, len(sorted_values) - 1)
+    safe_starts = np.minimum(starts, len(sorted_values) - 1)
     result = ufunc.reduceat(sorted_values, safe_starts)
-    return backend.to_host(result), touched
+    return result, touched
 
 
 # --------------------------------------------------------------------------
@@ -406,13 +347,13 @@ def group_reduce(
 # --------------------------------------------------------------------------
 
 
-def _mix_hashes(code_columns: list, xp):
+def _mix_hashes(code_columns: list):
     """Internal (non-stable) hash combine for multimap bucketing.
 
     Collisions only cost verification work — matches are confirmed with
     exact code compares.
     """
-    h = xp.zeros(len(code_columns[0]), dtype=np.uint64) if code_columns else None
+    h = np.zeros(len(code_columns[0]), dtype=np.uint64) if code_columns else None
     assert h is not None
     for codes in code_columns:
         u = codes.view(np.uint64)
@@ -421,7 +362,7 @@ def _mix_hashes(code_columns: list, xp):
     return h
 
 
-def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str, xp):
+def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str):
     """Re-encode probe codes into the build column's code space.
 
     Returns ``(codes, unmatchable)`` where ``unmatchable`` marks probe
@@ -434,19 +375,19 @@ def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str, xp
     if build_kind == "f":
         # int/bool probe into a float build: match exact representations.
         as_float = probe_codes.astype(np.float64)
-        with xp.errstate(invalid="ignore"):
-            in_range = xp.abs(as_float) < float(2**63)
-        roundtrip = xp.where(in_range, as_float, 0.0).astype(np.int64)
+        with np.errstate(invalid="ignore"):
+            in_range = np.abs(as_float) < float(2**63)
+        roundtrip = np.where(in_range, as_float, 0.0).astype(np.int64)
         unmatchable = ~(in_range & (roundtrip == probe_codes))
-        return _canonical_codes(as_float, "f", xp)[0], unmatchable
+        return _canonical_codes(as_float, "f")[0], unmatchable
     # float probe into an int/bool build: match integral in-range floats.
     floats = probe_values
-    with xp.errstate(invalid="ignore"):
-        integral = xp.isfinite(floats) & (xp.trunc(floats) == floats)
-        in_range = integral & (xp.abs(floats) < float(2**63))
-    as_int = xp.where(in_range, floats, 0.0).astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        integral = np.isfinite(floats) & (np.trunc(floats) == floats)
+        in_range = integral & (np.abs(floats) < float(2**63))
+    as_int = np.where(in_range, floats, 0.0).astype(np.int64)
     back = as_int.astype(np.float64)
-    exact = in_range & (back == xp.where(in_range, floats, 0.0))
+    exact = in_range & (back == np.where(in_range, floats, 0.0))
     return as_int, ~exact
 
 
@@ -459,12 +400,6 @@ class VectorMultiMap:
     ``cumsum`` arithmetic, and exact per-column code compares drop
     collisions. Emission order matches the row path: probe rows
     ascending, build rows ascending within a probe row.
-
-    The build-side arrays (hashes, positions, code columns) live on the
-    active backend's device for the lifetime of the join: every probe
-    page reuses them in place, so under ``simgpu`` the build side is
-    uploaded once and each probe counts elided transfers instead.
-    Probe results are downloaded — match positions splice host Blocks.
     """
 
     def __init__(
@@ -488,26 +423,22 @@ class VectorMultiMap:
         columns = key_arrays(blocks)
         if columns is None:
             return None
-        backend = current_backend()
-        xp = backend.xp
-        valid = xp.ones(row_count, dtype=np.bool_)
+        valid = np.ones(row_count, dtype=np.bool_)
         code_columns = []
         kinds: list[str] = []
         for values, nulls, kind in columns:
-            values = backend.to_device(values)
-            nulls = backend.to_device(nulls)
-            codes, nan_mask = _canonical_codes(values, kind, xp)
+            codes, nan_mask = _canonical_codes(values, kind)
             valid &= ~nulls  # SQL equi-joins never match NULL keys
             if nan_mask is not None:
                 valid &= ~nan_mask  # NaN never equals NaN
             code_columns.append(codes)
             kinds.append(kind)
-        positions = xp.flatnonzero(valid).astype(np.int64)
+        positions = np.flatnonzero(valid).astype(np.int64)
         codes_valid = [codes[positions] for codes in code_columns]
         hashes = (
-            _mix_hashes(codes_valid, xp) if len(positions) else xp.empty(0, np.uint64)
+            _mix_hashes(codes_valid) if len(positions) else np.empty(0, np.uint64)
         )
-        order = xp.argsort(hashes, kind="stable")
+        order = np.argsort(hashes, kind="stable")
         return cls(
             hashes[order],
             positions[order],
@@ -519,7 +450,7 @@ class VectorMultiMap:
     def probe(
         self, blocks: Sequence[Block], row_count: int
     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Match one probe page: host ``(probe_rows, build_rows)`` arrays.
+        """Match one probe page: ``(probe_rows, build_rows)`` arrays.
 
         NULL/NaN/unrepresentable probe keys produce no pairs (outer-join
         callers emit those rows with NULL build columns). Returns None
@@ -530,48 +461,41 @@ class VectorMultiMap:
         columns = key_arrays(blocks)
         if columns is None:
             return None
-        backend = current_backend()
-        xp = backend.xp
-        valid = xp.ones(row_count, dtype=np.bool_)
+        valid = np.ones(row_count, dtype=np.bool_)
         probe_codes = []
         for (values, nulls, kind), build_kind in zip(columns, self.kinds):
-            values = backend.to_device(values)
-            nulls = backend.to_device(nulls)
-            codes, nan_mask = _canonical_codes(values, kind, xp)
+            codes, nan_mask = _canonical_codes(values, kind)
             valid &= ~nulls
             if nan_mask is not None:
                 valid &= ~nan_mask
-            codes, unmatchable = _align_kinds(codes, kind, values, build_kind, xp)
+            codes, unmatchable = _align_kinds(codes, kind, values, build_kind)
             if unmatchable is not None:
                 valid &= ~unmatchable
             probe_codes.append(codes)
-        empty = np.empty(0, dtype=np.int64)  # host-only: no-match result
-        probe_rows = xp.flatnonzero(valid).astype(np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        probe_rows = np.flatnonzero(valid).astype(np.int64)
         if not len(probe_rows) or not len(self.hashes):
             return empty, empty
         codes_valid = [codes[probe_rows] for codes in probe_codes]
-        hashes = _mix_hashes(codes_valid, xp)
-        left = xp.searchsorted(self.hashes, hashes, side="left")
-        right = xp.searchsorted(self.hashes, hashes, side="right")
+        hashes = _mix_hashes(codes_valid)
+        left = np.searchsorted(self.hashes, hashes, side="left")
+        right = np.searchsorted(self.hashes, hashes, side="right")
         counts = right - left
         total = int(counts.sum())
         if total == 0:
             return empty, empty
-        probe_sel = xp.repeat(xp.arange(len(probe_rows), dtype=np.int64), counts)
-        run_starts = xp.zeros(len(probe_rows), dtype=np.int64)
-        run_starts[1:] = xp.cumsum(counts[:-1])
+        probe_sel = np.repeat(np.arange(len(probe_rows), dtype=np.int64), counts)
+        run_starts = np.zeros(len(probe_rows), dtype=np.int64)
+        run_starts[1:] = np.cumsum(counts[:-1])
         offsets = (
-            xp.arange(total, dtype=np.int64)
-            - xp.repeat(run_starts, counts)
-            + xp.repeat(left, counts)
+            np.arange(total, dtype=np.int64)
+            - np.repeat(run_starts, counts)
+            + np.repeat(left, counts)
         )
-        keep = xp.ones(total, dtype=np.bool_)
+        keep = np.ones(total, dtype=np.bool_)
         for build_codes, codes in zip(self.code_columns, codes_valid):
             keep &= build_codes[offsets] == codes[probe_sel]
-        return (
-            backend.to_host(probe_rows[probe_sel[keep]]),
-            backend.to_host(self.positions[offsets[keep]]),
-        )
+        return probe_rows[probe_sel[keep]], self.positions[offsets[keep]]
 
 
 # --------------------------------------------------------------------------
@@ -586,38 +510,37 @@ def _murmur_int64(values):
     return (u ^ (u >> np.uint64(33))) & _MASK63
 
 
-def _hash_primitive(values, nulls, kind: str, xp):
+def _hash_primitive(values, nulls, kind: str):
     """Per-value stable hashes for one primitive column, plus a mask of
     float values that overflow the int64 fast path and need the scalar
-    fallback. ``values``/``nulls`` are backend arrays."""
+    fallback."""
     fallback = None
     if kind == "b":
-        column_hash = xp.where(values, np.uint64(1), np.uint64(2))
+        column_hash = np.where(values, np.uint64(1), np.uint64(2))
     elif kind == "f":
         # stable_hash(float) == stable_hash(int(value * 1_000_003))
         scaled = values * float(_FLOAT_SCALE)
-        with xp.errstate(invalid="ignore"):
-            ok = xp.isfinite(scaled) & (xp.abs(scaled) < float(2**63))
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(scaled) & (np.abs(scaled) < float(2**63))
         bad = ~ok & ~nulls
         if bad.any():
             fallback = bad
-        as_int = xp.where(ok, scaled, 0.0).astype(np.int64)
+        as_int = np.where(ok, scaled, 0.0).astype(np.int64)
         column_hash = _murmur_int64(as_int)
     else:
         column_hash = _murmur_int64(values.astype(np.int64, copy=False))
     if nulls.any():
-        column_hash = xp.where(nulls, np.uint64(0), column_hash)
+        column_hash = np.where(nulls, np.uint64(0), column_hash)
     return column_hash, fallback
 
 
-def _column_hash(block: Block, row_count: int, backend):
+def _column_hash(block: Block):
     """Stable column hashes for one key block.
 
     Dictionary blocks hash once per *entry* and gather through the
     indices (NULL rows hash to 0, as in the scalar path). Returns
     ``None`` for object-typed columns.
     """
-    xp = backend.xp
     if isinstance(block, LazyBlock):
         block = block.load()
     if isinstance(block, DictionaryBlock) and isinstance(
@@ -626,14 +549,12 @@ def _column_hash(block: Block, row_count: int, backend):
         inner = primitive_arrays(block.dictionary)
         assert inner is not None
         values, entry_nulls, kind = inner
-        indices = backend.to_device(block.indices)
+        indices = block.indices
         if len(values) == 0:
-            return xp.zeros(len(indices), dtype=np.uint64), None
-        values = backend.to_device(values)
-        entry_nulls = backend.to_device(entry_nulls)
-        entry_hash, entry_fallback = _hash_primitive(values, entry_nulls, kind, xp)
-        clipped = xp.clip(indices, 0, None)
-        column_hash = xp.where(indices < 0, np.uint64(0), entry_hash[clipped])
+            return np.zeros(len(indices), dtype=np.uint64), None
+        entry_hash, entry_fallback = _hash_primitive(values, entry_nulls, kind)
+        clipped = np.clip(indices, 0, None)
+        column_hash = np.where(indices < 0, np.uint64(0), entry_hash[clipped])
         fallback = None
         if entry_fallback is not None:
             fallback = entry_fallback[clipped] & (indices >= 0)
@@ -644,9 +565,7 @@ def _column_hash(block: Block, row_count: int, backend):
     if arrays is None:
         return None
     values, nulls, kind = arrays
-    return _hash_primitive(
-        backend.to_device(values), backend.to_device(nulls), kind, xp
-    )
+    return _hash_primitive(values, nulls, kind)
 
 
 def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
@@ -656,19 +575,15 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
     feeding the same consumer stage may take different paths (one page
     primitive, another object-typed) and must agree on partitions. Rows
     whose float keys overflow the int64 fast path are rehashed through
-    the scalar function (a counted per-kernel host fallback, preserving
-    its exact behavior, exceptions included). Returns a host array
-    (hashes feed exchange serialization — a genuine host boundary);
-    returns None for object-typed keys.
+    the scalar function (preserving its exact behavior, exceptions
+    included). Returns None for object-typed keys.
     """
     if not enabled():
         return None
-    backend = current_backend()
-    xp = backend.xp
-    h = xp.full(row_count, 17, dtype=np.uint64)
+    h = np.full(row_count, 17, dtype=np.uint64)
     fallback = None
     for block in blocks:
-        column = _column_hash(block, row_count, backend)
+        column = _column_hash(block)
         if column is None:
             return None
         column_hash, column_fallback = column
@@ -677,33 +592,22 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
                 column_fallback if fallback is None else (fallback | column_fallback)
             )
         h = (h * np.uint64(31) + column_hash) & _MASK63
-    h = backend.to_host(h)
-    if fallback is not None:
-        fallback = backend.to_host(fallback)
-        if fallback.any():
-            backend.count_fallback("hash_rows.float_overflow")
-            # host-only: scalar stable_hash rehash for float-overflow rows
-            for row in np.flatnonzero(fallback):
-                key = tuple(block.get(int(row)) for block in blocks)
-                h[row] = stable_hash(key)
+    if fallback is not None and fallback.any():
+        for row in np.flatnonzero(fallback):
+            key = tuple(block.get(int(row)) for block in blocks)
+            h[row] = stable_hash(key)
     return h
 
 
 def partition_positions(hashes: np.ndarray, count: int) -> list[np.ndarray]:
     """Group row positions by ``hash % count`` (row order preserved).
 
-    Returns host position arrays — they feed ``Page.copy_positions``
-    during exchange serialization, a genuine host boundary.
+    The position arrays feed ``Page.copy_positions`` during exchange
+    serialization.
     """
-    backend = current_backend()
-    xp = backend.xp
-    hashes = backend.to_device(hashes)
     parts = (hashes % np.uint64(count)).astype(np.int64)
-    order = xp.argsort(parts, kind="stable")
-    boundaries = backend.to_host(
-        xp.searchsorted(parts[order], xp.arange(count + 1))
-    )
-    order = backend.to_host(order)
+    order = np.argsort(parts, kind="stable")
+    boundaries = np.searchsorted(parts[order], np.arange(count + 1))
     return [order[boundaries[p] : boundaries[p + 1]] for p in range(count)]
 
 
@@ -722,26 +626,23 @@ def domain_mask(
 ) -> Optional[np.ndarray]:
     """Vectorized keep-mask for a dynamic filter over one primitive
     column: non-null and inside the IN-list (when given) or the
-    ``[low, high]`` range. Returns a host mask, or ``None`` when the
+    ``[low, high]`` range. Returns the mask, or ``None`` when the
     filter values are incomparable with the column (caller keeps every
     row — dynamic filters must stay conservative)."""
-    backend = current_backend()
-    xp = backend.xp
-    values = backend.to_device(values)
-    keep = ~backend.to_device(nulls)
+    keep = ~nulls
     if in_values is not None:
-        candidates = np.asarray(in_values)  # host-only: python IN-list staging
+        candidates = np.asarray(in_values)
         if candidates.dtype.kind not in "biuf":
             return None
-        with xp.errstate(invalid="ignore"):
-            keep &= xp.isin(values, candidates)
-        return backend.to_host(keep)
+        with np.errstate(invalid="ignore"):
+            keep &= np.isin(values, candidates)
+        return keep
     try:
-        with xp.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             if low is not None:
                 keep &= values >= low
             if high is not None:
                 keep &= values <= high
     except TypeError:
         return None
-    return backend.to_host(keep)
+    return keep

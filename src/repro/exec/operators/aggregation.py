@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.errors import PrestoError
 from repro.exec import kernels
-from repro.exec.backend import current_backend
 from repro.exec.blocks import make_block, ObjectBlock
 from repro.exec.operator import AccumulatingOperator
 from repro.exec.page import DEFAULT_PAGE_ROWS, Page
@@ -102,11 +101,9 @@ class HashAggregationOperator(AccumulatingOperator):
         states_by_gid: list[list],
     ) -> None:
         """Fold one page into one aggregator's per-group states, using
-        bulk backend reductions when the aggregate and its argument
-        allow. The group-id array stays device-resident across every
-        aggregator touching it (the host copy is never materialized on
-        this path); only the small per-group partials come back to host
-        for the python states."""
+        bulk numpy reductions when the aggregate and its argument
+        allow."""
+        gids = fact.group_ids
         group_count = fact.group_count
         if (
             self.step is AggregationStep.FINAL
@@ -115,80 +112,57 @@ class HashAggregationOperator(AccumulatingOperator):
             or len(agg.argument_channels) > 1
         ):
             self._accumulate_aggregator_rows(
-                page, index, agg, fact.group_ids, states_by_gid
+                page, index, agg, gids, states_by_gid
             )
             return
-        backend = current_backend()
-        xp = backend.xp
         mask = None
         if agg.filter_channel is not None:
             arrays = kernels.primitive_arrays(page.block(agg.filter_channel))
             if arrays is None:
                 self._accumulate_aggregator_rows(
-                    page, index, agg, fact.group_ids, states_by_gid
+                    page, index, agg, gids, states_by_gid
                 )
                 return
             filter_values, filter_nulls, _ = arrays
-            mask = xp.asarray(filter_values, dtype=np.bool_) & ~backend.to_device(
-                filter_nulls
-            )
+            mask = np.asarray(filter_values, dtype=np.bool_) & ~filter_nulls
         name = agg.function.signature.name
-        gids_dev = backend.to_device(fact.device_group_ids)
         if not agg.argument_channels:  # count(*)
-            rows = gids_dev if mask is None else gids_dev[mask]
-            counts = backend.to_host(xp.bincount(rows, minlength=group_count))
+            rows = gids if mask is None else gids[mask]
+            counts = np.bincount(rows, minlength=group_count)
             self._merge_counts(index, counts, states_by_gid)
             return
         arrays = kernels.primitive_arrays(page.block(agg.argument_channels[0]))
         if arrays is None:
             self._accumulate_aggregator_rows(
-                page, index, agg, fact.group_ids, states_by_gid
+                page, index, agg, gids, states_by_gid
             )
             return
         values, nulls, kind = arrays
-        values = backend.to_device(values)
-        nulls = backend.to_device(nulls)
         valid = ~nulls if mask is None else (mask & ~nulls)
         if name == "count":
-            counts = backend.to_host(
-                xp.bincount(gids_dev[valid], minlength=group_count)
-            )
+            counts = np.bincount(gids[valid], minlength=group_count)
             self._merge_counts(index, counts, states_by_gid)
             return
         if name == "count_if":
-            valid = valid & xp.asarray(values, dtype=np.bool_)
-            counts = backend.to_host(
-                xp.bincount(gids_dev[valid], minlength=group_count)
-            )
+            valid = valid & np.asarray(values, dtype=np.bool_)
+            counts = np.bincount(gids[valid], minlength=group_count)
             self._merge_counts(index, counts, states_by_gid)
             return
-        group_rows = gids_dev[valid]
+        group_rows = gids[valid]
         vals = values[valid]
         if name in ("sum", "avg"):
             if name == "sum" and kind != "f" and len(vals):
                 bound = max(abs(int(vals.min())), abs(int(vals.max()))) * len(vals)
                 if bound >= _EXACT_INT_SUM_BOUND:
                     self._accumulate_aggregator_rows(
-                        page, index, agg, fact.group_ids, states_by_gid
+                        page, index, agg, gids, states_by_gid
                     )
                     return
-            sums = backend.to_host(
-                xp.bincount(
-                    group_rows, weights=vals.astype(np.float64), minlength=group_count
-                )
+            sums = np.bincount(
+                group_rows, weights=vals.astype(np.float64), minlength=group_count
             )
-            if name == "avg":
-                counts = backend.to_host(
-                    xp.bincount(group_rows, minlength=group_count)
-                )
-                touched = counts
-            else:
-                # sum only needs to know *which* groups were hit;
-                # download the compact bool mask instead of the counts.
-                touched = backend.to_host(
-                    xp.bincount(group_rows, minlength=group_count) > 0
-                )
-            for g in np.flatnonzero(touched):  # host-only: python group states
+            counts = np.bincount(group_rows, minlength=group_count)
+            for g in np.flatnonzero(counts):
                 states = states_by_gid[g]
                 state = states[index]
                 if name == "avg":
@@ -198,19 +172,19 @@ class HashAggregationOperator(AccumulatingOperator):
                     states[index] = partial if state is None else state + partial
             return
         # min / max
-        if kind == "f" and xp.isnan(vals).any():
+        if kind == "f" and np.isnan(vals).any():
             # minimum/maximum propagate NaN; the row path keeps NaN only
             # when it was the first value seen. Preserve that
             # order-dependence.
             self._accumulate_aggregator_rows(
-                page, index, agg, fact.group_ids, states_by_gid
+                page, index, agg, gids, states_by_gid
             )
             return
         if kind == "b":
             vals = vals.astype(np.int64)
         ufunc = np.minimum if name == "min" else np.maximum
         partial, touched = kernels.group_reduce(group_rows, vals, group_count, ufunc)
-        for g in np.flatnonzero(touched):  # host-only: python group states
+        for g in np.flatnonzero(touched):
             value = partial[g]
             value = (
                 bool(value) if kind == "b"
@@ -225,7 +199,7 @@ class HashAggregationOperator(AccumulatingOperator):
     def _merge_counts(
         self, index: int, counts: np.ndarray, states_by_gid: list[list]
     ) -> None:
-        for g in np.flatnonzero(counts):  # host-only: python group states
+        for g in np.flatnonzero(counts):
             states = states_by_gid[g]
             states[index] = states[index] + int(counts[g])
 

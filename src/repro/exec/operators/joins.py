@@ -57,7 +57,7 @@ class JoinBridge:
         self.multimap = multimap
         self.pages = page
         self.build_row_count = row_count
-        # host-only: outer-join bookkeeping over host match positions
+        # Outer-join bookkeeping: which build rows matched.
         self.matched = np.zeros(row_count, dtype=np.bool_)
         self._key_channels = list(key_channels)
         self._dict_built = multimap is None
@@ -241,7 +241,6 @@ class LookupJoinOperator(StreamingOperator):
         if not len(probe_positions):
             return None
         if self.join_type in (JoinType.RIGHT, JoinType.FULL):
-            # host-only: match positions are host arrays (Block splicing)
             build_idx = np.asarray(build_positions, dtype=np.int64)
             self.bridge.matched[build_idx[build_idx >= 0]] = True
         if self.join_type is JoinType.RIGHT:
@@ -258,16 +257,16 @@ class LookupJoinOperator(StreamingOperator):
         probe_positions, build_positions = pairs
         if not outer:
             return probe_positions, build_positions
-        # host-only: outer-row expansion over host match positions
+        # Outer-row expansion: append the unmatched probe rows.
         match_counts = np.bincount(probe_positions, minlength=page.row_count)
-        unmatched = np.flatnonzero(match_counts == 0)  # host-only
+        unmatched = np.flatnonzero(match_counts == 0)
         if not len(unmatched):
             return probe_positions, build_positions
-        probe_positions = np.concatenate([probe_positions, unmatched])  # host-only
-        build_positions = np.concatenate(  # host-only
+        probe_positions = np.concatenate([probe_positions, unmatched])
+        build_positions = np.concatenate(
             [build_positions, np.full(len(unmatched), -1, dtype=np.int64)]
         )
-        order = np.argsort(probe_positions, kind="stable")  # host-only
+        order = np.argsort(probe_positions, kind="stable")
         return probe_positions[order], build_positions[order]
 
     def _probe_rows(self, page: Page, outer: bool) -> tuple[list[int], list[int]]:
@@ -313,11 +312,10 @@ class LookupJoinOperator(StreamingOperator):
 
     def _build_page(self, probe_page: Page, probe_positions, build_positions) -> Page:
         blocks: list[Block] = []
-        # host-only: match positions splice host Blocks
         probe_idx = np.asarray(probe_positions, dtype=np.int64)
         for channel in self.probe_output_channels:
             blocks.append(probe_page.block(channel).copy_positions(probe_idx))
-        build_idx = np.asarray(build_positions, dtype=np.int64)  # host-only
+        build_idx = np.asarray(build_positions, dtype=np.int64)
         build_page = self.bridge.pages
         has_unmatched = (build_idx < 0).any()
         for i, channel in enumerate(self.build_output_channels):
@@ -347,7 +345,7 @@ class LookupJoinOperator(StreamingOperator):
         bridge = self.bridge
         if bridge.pages is None:
             return None
-        unmatched = np.flatnonzero(~bridge.matched)  # host-only
+        unmatched = np.flatnonzero(~bridge.matched)
         if len(unmatched) == 0:
             return None
         blocks: list[Block] = []
@@ -414,7 +412,6 @@ class NestedLoopJoinOperator(StreamingOperator):
         if build_page is None or build_page.row_count == 0:
             return None
         build_count = build_page.row_count
-        # host-only: cross-product positions splice host Blocks
         probe_positions = np.repeat(np.arange(page.row_count), build_count)
         build_positions = np.tile(np.arange(build_count), page.row_count)
         blocks = [page.block(c).copy_positions(probe_positions) for c in range(page.column_count)]

@@ -25,7 +25,6 @@ from repro.exec.blocks import (
 )
 from repro.errors import PrestoError
 from repro.exec import kernels
-from repro.exec.backend import KernelBackend, current_backend
 from repro.exec.compiler import (
     CompiledExpression,
     EvalContext,
@@ -82,15 +81,9 @@ class PageProcessor:
         filter_expr: Optional[ir.RowExpression],
         projections: Sequence[ir.RowExpression],
         interpreted: bool = False,
-        backend: Optional[KernelBackend] = None,
     ):
         self.input_symbols = list(input_symbols)
         self.interpreted = interpreted
-        # Array work routes through the pluggable kernel backend
-        # (repro.exec.backend): numpy, or the simgpu device stub with
-        # metered transfers. ``xp`` mirrors the numpy API surface.
-        self.backend = backend or current_backend()
-        self._xp = self.backend.xp
         if interpreted:
             self._raw_filter = filter_expr
             self._raw_projections = list(projections)
@@ -145,21 +138,14 @@ class PageProcessor:
     def process(self, page: Page) -> Optional[Page]:
         if self.interpreted:
             return self._process_interpreted(page)
-        xp = self._xp
         ctx = EvalContext(page)
         selected: np.ndarray | None = None
         if self.filter is not None:
             mask = self._filter_mask(page)
             if mask is None:
                 values, nulls = self.filter.evaluate_context(ctx)
-                mask = xp.asarray(values, dtype=np.bool_) & ~nulls
-            # One compact bool download covers emptiness, all-pass, and
-            # the selected positions; mask.any()/mask.all() would each
-            # cost a device sync and flatnonzero a wider int64 download.
-            mask_host = self.backend.to_host(mask)
-            # Selected positions splice host Blocks (copy_positions /
-            # context subsetting), so this is the mask's host boundary.
-            selected = np.flatnonzero(mask_host)  # host-only: mask downloaded above
+                mask = np.asarray(values, dtype=np.bool_) & ~nulls
+            selected = np.flatnonzero(mask)
             if not len(selected):
                 return None
             if len(selected) == page.row_count:
@@ -212,7 +198,6 @@ class PageProcessor:
             # would load it anyway; loading it here exposes the chunk's
             # encoding (LazyBlock accounting is identical either way).
             block = block.load()
-        xp = self._xp
         if isinstance(block, RunLengthBlock):
             try:
                 verdict = self.filter.evaluate_row(
@@ -220,7 +205,7 @@ class PageProcessor:
                 )
             except PrestoError:
                 return None
-            return xp.full(page.row_count, verdict is True, dtype=np.bool_)
+            return np.full(page.row_count, verdict is True, dtype=np.bool_)
         if isinstance(block, DictionaryBlock):
             dictionary = block.dictionary
             if not self._heuristic.should_process_dictionary(
@@ -233,9 +218,9 @@ class PageProcessor:
             self._heuristic.record(len(dictionary), page.row_count)
             indices = block.indices
             if len(dictionary) == 0:
-                return xp.full(page.row_count, bool(keep[-1]), dtype=np.bool_)
-            clipped = xp.clip(indices, 0, None)
-            return xp.where(indices < 0, keep[-1], keep[clipped])
+                return np.full(page.row_count, bool(keep[-1]), dtype=np.bool_)
+            clipped = np.clip(indices, 0, None)
+            return np.where(indices < 0, keep[-1], keep[clipped])
         return None
 
     def _filter_entries(
@@ -252,7 +237,7 @@ class PageProcessor:
             values, nulls = self.filter.evaluate_context(
                 entries_context(width, channel, dictionary)
             )
-            keep = self._xp.asarray(values, dtype=np.bool_) & ~nulls
+            keep = np.asarray(values, dtype=np.bool_) & ~nulls
         except PrestoError:
             keep = None
         self._filter_cache = (dictionary, keep)

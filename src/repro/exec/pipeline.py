@@ -13,9 +13,7 @@ projections, and (optionally) partial-aggregation accumulation in one
 pass per split, with no intermediate operator-boundary handoffs.
 Filters stay lazily-applied masks and projections compose inside the
 absorbed :class:`~repro.exec.page_processor.PageProcessor`, so the
-dictionary/RLE entries-context fast paths engage unchanged; the array
-work routes through the pluggable :mod:`repro.exec.backend` seam
-(numpy today, cupy-shaped tomorrow).
+dictionary/RLE entries-context fast paths engage unchanged.
 
 Chains containing an unfusible operator fall back to the existing
 driver loop unchanged, with the reason recorded in a
@@ -42,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.exec import kernels
-from repro.exec.backend import KernelBackend, current_backend
 from repro.exec.operator import Operator
 from repro.exec.operators.aggregation import HashAggregationOperator
 from repro.exec.operators.core import (
@@ -147,7 +144,6 @@ class FusedPipelineOperator(Operator):
         agg: Optional[HashAggregationOperator] = None,
         limit: Optional[LimitOperator] = None,
         sink: Optional[Operator] = None,
-        backend: Optional[KernelBackend] = None,
     ):
         super().__init__()
         self.scan = scan
@@ -164,7 +160,6 @@ class FusedPipelineOperator(Operator):
         self.agg = agg
         self.limit = limit
         self.sink = sink
-        self.backend = backend or current_backend()
         self._out: deque[Page] = deque()
         self._flushing = False
         self._flushed = False
@@ -214,10 +209,6 @@ class FusedPipelineOperator(Operator):
         boundary = self.scan.completed_splits
         progressed = self._advance_once()
         self.pending_kernel_ms += (time.perf_counter() - start) * 1000.0
-        # Device backends do their work on a modeled clock (uploads,
-        # kernel launches, downloads); fold those milliseconds into the
-        # same split-lump accounting so they charge the virtual CPU.
-        self.pending_kernel_ms += self.backend.drain_pending_ms()
         if self.scan.completed_splits != boundary or self._flushed:
             self.charged_kernel_ms += self.pending_kernel_ms
             self.pending_kernel_ms = 0.0
@@ -373,7 +364,6 @@ def compile_pipeline(
     operators: Sequence[Operator],
     report: FusionReport,
     interpreted: bool = False,
-    backend: Optional[KernelBackend] = None,
 ) -> list[Operator]:
     """Compile one pipeline's operator chain, fusing the eligible prefix
     into a :class:`FusedPipelineOperator`. Returns the (possibly
@@ -432,7 +422,7 @@ def compile_pipeline(
         report.fallback(f"unfusible:{tail}")
         return ops
     fused = FusedPipelineOperator(
-        scan, stage_ops, names, agg=agg, limit=limit, sink=sink, backend=backend
+        scan, stage_ops, names, agg=agg, limit=limit, sink=sink
     )
     report.fused += 1
     return [fused] + ops[i:]

@@ -1,6 +1,6 @@
 """Multi-way agreement runner.
 
-Executes one fuzz case through six engine configurations and compares
+Executes one fuzz case through sixteen engine configurations and compares
 every result against the reference oracle:
 
 1. ``interpreter`` — unoptimized plan, row-at-a-time interpreted
@@ -60,13 +60,6 @@ every result against the reference oracle:
    making this a true rules-on vs rules-off differential. Run the
    campaign under ``REPRO_KERNELS=row`` as well to cross the rewrites
    with the row-path hash kernels
-17. ``simgpu`` — LocalEngine with the full optimizer under the
-   ``simgpu`` kernel backend (repro.exec.backend): every vectorized
-   kernel runs over ``DeviceArray`` handles with metered transfers, so
-   the device-residency path is differentially tested against the
-   numpy configs and the row oracle. Under ``REPRO_KERNELS=row`` the
-   backend sits idle (the row path never reaches the kernels), which
-   checks the fallback seam stays inert
 
 Errors are outcomes too: if the oracle raises, every configuration must
 raise an error of the same class.
@@ -106,7 +99,6 @@ CONFIG_NAMES = (
     "spooled",
     "join_spill",
     "rewrites",
-    "simgpu",
 )
 
 # The case currently (or most recently) executing. Deliberately NOT
@@ -662,16 +654,6 @@ def run_config(name: str, case_tables, sql: str) -> Outcome:
         engine = _local_engine(case_tables, optimize=True, interpreted=False)
         engine.optimizer_config = _forced_rewrites_optimizer()
         return _capture(lambda: engine.execute(sql).rows)
-    if name == "simgpu":
-        from repro.exec import backend as kernel_backend
-
-        engine = _local_engine(case_tables, optimize=True, interpreted=False)
-
-        def run_simgpu() -> list[tuple]:
-            with kernel_backend.forced_backend("simgpu"):
-                return engine.execute(sql).rows
-
-        return _capture(run_simgpu)
     if name == "spooled":
         return _capture(lambda: _run_spooled(case_tables, sql))
     if name == "join_spill":

@@ -16,13 +16,19 @@ import numpy as np
 import pytest
 
 from repro.client import LocalEngine
+from repro.connectors.hashing import stable_hash
 from repro.connectors.hive import HiveConnector
 from repro.connectors.hive.format import OrcReader, OrcWriter, ReadStats
 from repro.connectors.predicate import Domain, Range, TupleDomain
 from repro.connectors.raptor import RaptorConnector, RaptorTableHandle
 from repro.connectors.tpch import TpchConnector
 from repro.exec import kernels
-from repro.exec.blocks import DictionaryBlock, PrimitiveBlock, RunLengthBlock
+from repro.exec.blocks import (
+    DictionaryBlock,
+    PrimitiveBlock,
+    RunLengthBlock,
+    make_block,
+)
 from repro.exec.page import Page, concat_pages, page_from_rows
 from repro.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
 
@@ -215,3 +221,14 @@ def test_raptor_sink_batch_matches_row_buckets():
                 ),
             )
     assert contents[kernels.VECTOR] == contents[kernels.ROW]
+
+
+def test_hash_rows_float_overflow_matches_scalar_hash():
+    """1e300 overflows the int64 fast path of kernels.hash_rows; those
+    rows are rehashed through the scalar function, so every row must
+    still equal stable_hash of its key tuple."""
+    values = [1.5, 1e300, -2.5, 4.0, None, -1e300]
+    block = make_block(DOUBLE, values)
+    with kernels.forced_mode(kernels.VECTOR):
+        hashes = kernels.hash_rows([block], len(values))
+    assert hashes.tolist() == [stable_hash((v,)) for v in values]

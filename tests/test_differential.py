@@ -2,9 +2,7 @@
 
 Every generated query is routed through the multi-way agreement runner
 (``repro.fuzz.runner.check_tables_sql``), which compares the reference
-oracle against all five engine configurations: interpreted, compiled,
-optimized, SimCluster, and SimCluster with transient transfer failures
-plus a mid-query worker crash.
+oracle against every engine configuration in ``CONFIG_NAMES``.
 
 The grammar-based fuzzer (tests/test_fuzz.py) explores a much wider
 query space; this module keeps a hand-tuned template pool aimed at the

@@ -3,6 +3,11 @@ eligibility, differential parity fused vs unfused vs row path, stats
 counters, EXPLAIN visibility, spill delegation, and the split-lump
 cpu-time accounting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import ClusterConfig, SimCluster
@@ -110,6 +115,33 @@ def test_row_kernel_mode_disables_fusion_in_auto():
     # ...but forcing fusion on overrides the kernel mode.
     with kernels.forced_mode(kernels.ROW), pipeline.forced_fusion(pipeline.ON):
         assert pipeline.fusion_enabled()
+
+
+@pytest.mark.parametrize(
+    "variable, value, expected",
+    [
+        ("REPRO_KERNELS", "vectorized", "REPRO_KERNELS must be vector/row"),
+        ("REPRO_FUSION", "yes", "REPRO_FUSION must be on/off/auto"),
+    ],
+)
+def test_unknown_mode_env_value_fails_at_import(variable, value, expected):
+    """A typo in a mode variable must fail loudly at import instead of
+    silently running another execution path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env[variable] = value
+    result = subprocess.run(
+        [sys.executable, "-c", "import repro.exec.pipeline"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode != 0
+    assert "ValueError" in result.stderr
+    assert expected in result.stderr
 
 
 def test_interpreted_mode_never_fuses():

@@ -13,7 +13,7 @@ from repro.fuzz.runner import CONFIG_NAMES, check_case, run_campaign
 from repro.fuzz.shrink import clause_count, ddmin, reproducer_source, shrink_case
 
 # Tier-1 corpus size: every seed runs the query through the oracle plus
-# all five engine configurations (~50ms/seed), so 150 seeds stays well
+# every engine configuration in CONFIG_NAMES, so 150 seeds stays well
 # under the 60s budget.
 TIER1_SEEDS = 150
 

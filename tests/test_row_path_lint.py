@@ -13,14 +13,6 @@ sanction.
 
 This keeps future edits from quietly reintroducing per-row hot loops —
 the regression the vectorization PRs exist to prevent.
-
-A second check guards the kernel-backend seam (docs/BACKENDS.md): the
-backend-routed files must do their array work through ``backend.xp``,
-not bare ``np.`` calls, so a single ``REPRO_BACKEND`` switch really
-retargets every kernel. Bare numpy is allowed only for dtype/scalar
-constructors and metadata helpers (``np.int64``, ``np.iinfo``, ...) or
-with an explicit ``# host-only`` tag marking genuine host-boundary
-work (Block decode, python-state loops, coordinator filter state).
 """
 
 import re
@@ -40,10 +32,9 @@ HOT_FILES = [
     "src/repro/cluster/shuffle.py",
     # Fault-tolerance PR: the durable spool sits on the delivery path.
     "src/repro/cluster/spool.py",
-    # Pipeline-fusion PR: the compiler, the fused operator, the kernel
-    # backend seam, and the page processor they route through.
+    # Pipeline-fusion PR: the compiler, the fused operator, and the page
+    # processor they route through.
     "src/repro/exec/pipeline.py",
-    "src/repro/exec/backend.py",
     "src/repro/exec/page_processor.py",
     # Storage layer (columnar scan PR): encode/decode and page sinks.
     "src/repro/connectors/hive/format.py",
@@ -102,75 +93,3 @@ def test_lint_catches_rows_walk():
     assert _matches_row_loop("non_null = [v for v in values if v is not None]")
     assert not _matches_row_loop("for stripe in self.file.stripes:")
 
-
-# --------------------------------------------------------------------------
-# Backend purity: no bare np.<func>() calls in backend-routed kernel
-# paths. Array work must go through backend.xp so REPRO_BACKEND really
-# retargets it; genuine host-boundary work carries a '# host-only' tag.
-# --------------------------------------------------------------------------
-
-BACKEND_ROUTED_FILES = [
-    "src/repro/exec/kernels.py",
-    "src/repro/exec/page_processor.py",
-    "src/repro/exec/pipeline.py",
-    "src/repro/exec/dynamic_filters.py",
-    "src/repro/exec/operators/aggregation.py",
-    "src/repro/exec/operators/joins.py",
-]
-
-NP_CALL = re.compile(r"\bnp\.(\w+)\s*\(")
-
-# dtype/scalar constructors and metadata helpers: these build arguments
-# (dtypes, scalar constants, error-state guards), not array kernels, and
-# are identical on every backend.
-ALLOWED_NP_CALLS = frozenset({
-    "bool_", "int8", "int16", "int32", "int64", "intp",
-    "uint8", "uint16", "uint32", "uint64",
-    "float16", "float32", "float64",
-    "dtype", "iinfo", "finfo", "errstate", "promote_types", "result_type",
-})
-
-HOST_ONLY = re.compile(r"#\s*host-only")
-
-
-def _backend_violations(path: Path) -> list[str]:
-    lines = path.read_text().splitlines()
-    bad = []
-    for i, line in enumerate(lines):
-        names = [m for m in NP_CALL.findall(line) if m not in ALLOWED_NP_CALLS]
-        if not names:
-            continue
-        window = lines[max(0, i - 2) : i + 1]
-        if any(HOST_ONLY.search(w) for w in window):
-            continue
-        bad.append(f"{path.relative_to(REPO_ROOT)}:{i + 1}: {line.strip()}")
-    return bad
-
-
-@pytest.mark.parametrize("relpath", BACKEND_ROUTED_FILES)
-def test_no_bare_numpy_in_backend_routed_paths(relpath):
-    violations = _backend_violations(REPO_ROOT / relpath)
-    assert not violations, (
-        "bare np. call in a backend-routed kernel path — route it "
-        "through backend.xp, or tag genuine host-boundary work with "
-        "'# host-only':\n" + "\n".join(violations)
-    )
-
-
-def test_backend_lint_catches_bare_call(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text(
-        "import numpy as np\n"
-        "mask = np.flatnonzero(values)\n"
-        "codes = values.astype(np.int64, copy=False)\n"
-        "n = np.iinfo(np.int64).max\n"
-        "tagged = np.unique(codes)  # host-only: filter summary\n"
-    )
-    lines = sample.read_text().splitlines()
-    flagged = [
-        m for line in lines
-        if not HOST_ONLY.search(line)
-        for m in NP_CALL.findall(line)
-        if m not in ALLOWED_NP_CALLS
-    ]
-    assert flagged == ["flatnonzero"]

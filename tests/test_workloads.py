@@ -1,11 +1,16 @@
 """Workload generator tests: determinism, SQL validity, Table-I shapes."""
 
+import math
+
 import pytest
 
+from repro.client import LocalEngine
 from repro.cluster import ClusterConfig, SimCluster
 from repro.connectors.hive import HiveConnector
 from repro.connectors.raptor import RaptorConnector
 from repro.connectors.shardedsql import ShardedSqlConnector
+from repro.connectors.tpch import TpchConnector
+from repro.exec import kernels
 from repro.sql import parse_statement
 from repro.workload import (
     ABTestingWorkload,
@@ -74,6 +79,44 @@ def test_fig6_query_set_complete():
     ]
     for sql in TPCDS_ANALOG_QUERIES.values():
         parse_statement(sql)
+
+
+def _rows_close(left: list[tuple], right: list[tuple]) -> bool:
+    """Positional equality with relative float tolerance: the row path
+    accumulates sums in a different association order, so big
+    aggregates may differ in the last couple of ulps."""
+    if len(left) != len(right):
+        return False
+    for lrow, rrow in zip(left, right):
+        if len(lrow) != len(rrow):
+            return False
+        for lval, rval in zip(lrow, rrow):
+            if isinstance(lval, float) and isinstance(rval, float):
+                if not (
+                    math.isclose(lval, rval, rel_tol=1e-9, abs_tol=1e-9)
+                    or (math.isnan(lval) and math.isnan(rval))
+                ):
+                    return False
+            elif lval != rval:
+                return False
+    return True
+
+
+def test_fig6_queries_match_between_vector_and_row_kernels():
+    engine = LocalEngine(catalog="tpch", schema="tiny")
+    engine.register_catalog("tpch", TpchConnector(scale_factor=0.002))
+    answers: dict[str, dict[str, list[tuple]]] = {}
+    for mode in (kernels.VECTOR, kernels.ROW):
+        with kernels.forced_mode(mode):
+            answers[mode] = {
+                qid: engine.execute(sql).rows
+                for qid, sql in TPCDS_ANALOG_QUERIES.items()
+            }
+    assert len(answers[kernels.VECTOR]) == 19
+    for qid in TPCDS_ANALOG_QUERIES:
+        assert _rows_close(
+            answers[kernels.ROW][qid], answers[kernels.VECTOR][qid]
+        ), qid
 
 
 def test_run_workload_end_to_end():
