@@ -290,7 +290,7 @@ class ExchangeSinkOperator(Operator):
             return
         assignments: list[list[int]] = [[] for _ in range(count)]
         key_columns = [block.to_values() for block in key_blocks]
-        for row in range(page.row_count):  # row-path: object-typed partition keys
+        for row in range(page.row_count):  # row-path: nested-type partition keys
             key = tuple(col[row] for col in key_columns)
             assignments[stable_hash(key) % count].append(row)
         for partition, positions in enumerate(assignments):

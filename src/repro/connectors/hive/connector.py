@@ -266,7 +266,8 @@ class HivePageSink(PageSink):
         """Batch write: rows are grouped by partition key with one
         factorize over the key columns (first-occurrence key order, so
         partitions register in the same order the row loop produced),
-        then each group streams into its writer in file-sized slices."""
+        split into per-partition runs by one stable argsort, then each
+        run streams into its writer in file-sized slices."""
         data_page = page.select_channels(self.data_indexes)
         if not self.partition_indexes:
             self._append_rows(None, data_page)
@@ -274,13 +275,18 @@ class HivePageSink(PageSink):
         key_blocks = [page.block(i) for i in self.partition_indexes]
         factorized = kernels.factorize(key_blocks, page.row_count)
         if factorized is not None:
-            for group in range(factorized.group_count):
-                positions = np.flatnonzero(factorized.group_ids == group)
-                first = int(factorized.first_positions[group])
-                key = tuple(block.get(first) for block in key_blocks)
-                self._append_rows(key, data_page.copy_positions(positions))
+            group_ids = factorized.group_ids
+            order = np.argsort(group_ids, kind="stable")
+            ends = np.cumsum(
+                np.bincount(group_ids, minlength=factorized.group_count)
+            ).tolist()
+            keys = kernels.key_tuples(key_blocks, factorized.first_positions)
+            start = 0
+            for key, end in zip(keys, ends):
+                self._append_rows(key, data_page.copy_positions(order[start:end]))
+                start = end
             return
-        # row-path: object-typed partition keys or REPRO_KERNELS=row
+        # row-path: nested-type partition keys or REPRO_KERNELS=row
         groups: dict[tuple, list[int]] = {}
         for position in range(page.row_count):
             key = tuple(block.get(position) for block in key_blocks)

@@ -202,7 +202,7 @@ class RaptorPageSink(PageSink):
                 return
             from repro.connectors.hashing import stable_bucket
 
-            # row-path: object-typed bucket keys or REPRO_KERNELS=row
+            # row-path: nested-type bucket keys or REPRO_KERNELS=row
             for row in rows:
                 bucket = stable_bucket((row[i] for i in indexes), table.bucket_count)
                 self._rows_by_bucket.setdefault(bucket, []).append(row)

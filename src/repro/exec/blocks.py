@@ -167,10 +167,12 @@ class PrimitiveBlock(Block):
 class ObjectBlock(Block):
     """Variable-width column stored as a python list (None = null)."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_size")
 
     def __init__(self, items: list):
+        # Never mutated after construction, so size_bytes is memoized.
         self.items = items
+        self._size: int | None = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -183,13 +185,16 @@ class ObjectBlock(Block):
 
     def size_bytes(self) -> int:
         # Cheap estimate: strings cost their length, everything else a word.
-        total = 8 * len(self.items)
-        for item in self.items:
-            if isinstance(item, str):
-                total += len(item)
-            elif isinstance(item, (list, tuple, dict)):
-                total += 16 * len(item)
-        return total
+        # Shared dictionaries are charged on every page, so walk them once.
+        if self._size is None:
+            total = 8 * len(self.items)
+            for item in self.items:
+                if isinstance(item, str):
+                    total += len(item)
+                elif isinstance(item, (list, tuple, dict)):
+                    total += 16 * len(item)
+            self._size = total
+        return self._size
 
     def to_values(self) -> list:
         return list(self.items)

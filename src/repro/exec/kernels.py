@@ -6,9 +6,10 @@ joins, and partitioned shuffles (Sec. V). Row-at-a-time dispatch over
 codegen section (Sec. V-B) warns about, so this module provides the
 columnar batch-at-a-time equivalents:
 
-- :func:`factorize` — map N rows x K primitive key columns to dense
-  local group ids (plus each group's first-occurrence position), the
-  building block for hash aggregation, DISTINCT, and semi joins.
+- :func:`factorize` — map N rows x K primitive or VARCHAR key columns
+  to dense local group ids (plus each group's first-occurrence
+  position), the building block for hash aggregation, DISTINCT, and
+  semi joins; :func:`key_tuples` gathers the groups' key values.
 - :class:`VectorMultiMap` — a join build table over primitive keys:
   build rows sorted by key hash, probed in one batch per page with
   ``np.searchsorted`` and verified with exact vectorized compares.
@@ -31,15 +32,20 @@ keys python dicts with value tuples):
 
 Dictionary-encoded key columns (the columnar scan hands stripes through
 as :class:`DictionaryBlock` without materializing) are processed in
-dictionary space where it pays: :func:`factorize` and :func:`hash_rows`
+dictionary space: nested dictionaries are flattened to one index array
+over the innermost block, and :func:`factorize` and :func:`hash_rows`
 compute per-*entry* codes/hashes once and gather them through the
 indices instead of expanding to per-row values first.
 
-Object-typed columns (varchar, arrays, partial-aggregation state) have
-no numpy encoding; every entry point returns ``None`` for them and the
-caller falls back to the sanctioned row path. The same fallback can be
-forced globally (``REPRO_KERNELS=row`` or :func:`set_mode`) so the
-differential fuzzer can compare both paths.
+VARCHAR key columns are coded in dictionary space too: a plain
+:class:`ObjectBlock` of ``str`` is coded by one first-seen pass (a
+``dict`` of its distinct entries), a dictionary over one codes only its
+entries, and an RLE string is a single code. Only nested types (ARRAY,
+MAP, ROW) and other non-``str`` objects (e.g. partial-aggregation
+state) have no encoding; :func:`factorize` and :func:`hash_rows` return
+``None`` for them and the caller falls back to the sanctioned row path.
+The same fallback can be forced globally (``REPRO_KERNELS=row`` or
+:func:`set_mode`) so the differential fuzzer can compare both paths.
 """
 
 from __future__ import annotations
@@ -115,14 +121,35 @@ def forced_mode(mode: str):
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str]]:
-    """Return ``(values, nulls, kind)`` for numpy-representable blocks.
+def _flatten_dictionary(block: Block) -> tuple[Block, Optional[np.ndarray]]:
+    """Peel lazy and (nested) dictionary wrappers off one column.
 
-    Dictionary/RLE/lazy wrappings are decoded; object columns return
-    ``None`` (caller falls back to the row path).
+    Returns ``(base, indices)``: ``base`` is the innermost block that is
+    neither lazy nor a dictionary (lazy blocks are loaded on the way),
+    and ``indices`` maps each row through every dictionary level to a
+    position of ``base`` (``-1`` = NULL at any level), or is ``None``
+    when ``block`` is not dictionary-encoded.
     """
-    if isinstance(block, LazyBlock):
-        return primitive_arrays(block.load())
+    indices = None
+    while True:
+        if isinstance(block, LazyBlock):
+            block = block.load()
+        elif isinstance(block, DictionaryBlock):
+            if indices is None:
+                indices = block.indices
+            elif len(block.indices) == 0:
+                # An empty inner dictionary: every outer index is -1.
+                indices = np.full(len(indices), -1, dtype=np.int64)
+            else:
+                inner = block.indices[np.clip(indices, 0, None)]
+                indices = np.where(indices < 0, np.int64(-1), inner)
+            block = block.dictionary
+        else:
+            return block, indices
+
+
+def _flat_primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str]]:
+    """``(values, nulls, kind)`` of a primitive or RLE block."""
     if isinstance(block, PrimitiveBlock):
         if block.type is BOOLEAN:
             kind = "b"
@@ -131,19 +158,6 @@ def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str
         else:
             kind = "i"
         return block.values, block.nulls, kind
-    if isinstance(block, DictionaryBlock):
-        inner = primitive_arrays(block.dictionary)
-        if inner is None:
-            return None
-        values, nulls, kind = inner
-        indices = block.indices
-        clipped = np.clip(indices, 0, None)
-        if len(values) == 0:
-            # All indices must be -1 (null) for an empty dictionary.
-            n = len(indices)
-            dtype = {"b": np.bool_, "f": np.float64, "i": np.int64}[kind]
-            return np.zeros(n, dtype=dtype), np.ones(n, dtype=np.bool_), kind
-        return values[clipped], (indices < 0) | nulls[clipped], kind
     if isinstance(block, RunLengthBlock):
         n = len(block)
         value = block.value
@@ -157,8 +171,27 @@ def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str
             return np.full(n, value, dtype=np.int64), np.zeros(n, dtype=np.bool_), "i"
         if isinstance(value, float):
             return np.full(n, value, dtype=np.float64), np.zeros(n, dtype=np.bool_), "f"
-        return None
     return None
+
+
+def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str]]:
+    """Return ``(values, nulls, kind)`` for numpy-representable blocks.
+
+    Dictionary/RLE/lazy wrappings are decoded; object columns return
+    ``None`` (caller falls back to the row path).
+    """
+    base, indices = _flatten_dictionary(block)
+    arrays = _flat_primitive_arrays(base)
+    if arrays is None or indices is None:
+        return arrays
+    values, nulls, kind = arrays
+    if len(values) == 0:
+        # All indices must be -1 (null) for an empty dictionary.
+        n = len(indices)
+        dtype = {"b": np.bool_, "f": np.float64, "i": np.int64}[kind]
+        return np.zeros(n, dtype=dtype), np.ones(n, dtype=np.bool_), kind
+    clipped = np.clip(indices, 0, None)
+    return values[clipped], (indices < 0) | nulls[clipped], kind
 
 
 def key_arrays(
@@ -172,6 +205,33 @@ def key_arrays(
             return None
         out.append(arrays)
     return out
+
+
+def _string_codes(block: Block) -> Optional[tuple[np.ndarray, list]]:
+    """First-seen codes of a plain or RLE VARCHAR block, and its distinct
+    strings: code ``i`` is ``distinct[i]`` and NULL is ``len(distinct)``.
+    ``None`` unless every entry is exactly ``str`` or NULL (nested types
+    and other objects keep the row path)."""
+    if isinstance(block, RunLengthBlock):
+        if type(block.value) is not str:
+            return None
+        return np.zeros(len(block), dtype=np.int64), [block.value]
+    if not isinstance(block, ObjectBlock):
+        return None
+    items = block.items
+    try:
+        lookup = dict.fromkeys(items)
+    except TypeError:  # unhashable entries: ARRAY / MAP values
+        return None
+    lookup.pop(None, None)
+    distinct = list(lookup)
+    if not set(map(type, distinct)) <= {str}:
+        return None
+    lookup = dict(zip(distinct, range(len(distinct))))
+    lookup[None] = len(distinct)
+    # row-path: one C-level dict probe per row codes a VARCHAR column.
+    codes = np.fromiter(map(lookup.__getitem__, items), dtype=np.int64, count=len(items))
+    return codes, distinct
 
 
 def _canonical_codes(values, kind: str) -> tuple:
@@ -188,55 +248,54 @@ def _canonical_codes(values, kind: str) -> tuple:
     return values.astype(np.int64, copy=False), None
 
 
+def _flat_codes(block: Block):
+    """:func:`_column_codes` for a block that is neither lazy nor a
+    dictionary. NULL is always the last code, ``cardinality - 1``."""
+    arrays = _flat_primitive_arrays(block)
+    if arrays is not None:
+        values, nulls, kind = arrays
+        codes, nan_mask = _canonical_codes(values, kind)
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        inverse = inverse.astype(np.int64, copy=False).reshape(-1)
+        inverse = np.where(nulls, np.int64(len(uniq)), inverse)
+        nan_rows = None
+        if nan_mask is not None and nan_mask.any():
+            # Null rows hold arbitrary backing values; only non-null NaNs
+            # become singletons.
+            nan_rows = nan_mask & ~nulls
+        return inverse, len(uniq) + 1, nan_rows
+    column = _string_codes(block)
+    if column is None:
+        return None
+    codes, distinct = column
+    return codes, len(distinct) + 1, None
+
+
 def _column_codes(block: Block):
     """Dense per-row codes for one key column.
 
     Returns ``(codes, cardinality, nan_rows)``: codes are dense in
     ``[0, cardinality)`` with NULL as its own code, and ``nan_rows``
     (when not None) marks non-null NaN rows that must become singleton
-    groups. Dictionary blocks are coded in dictionary space — one
-    ``np.unique`` over the entries, gathered through the indices —
-    instead of materializing per-row values. Returns ``None`` for
-    object-typed columns.
+    groups. Dictionary blocks are coded in dictionary space — each
+    entry coded once, gathered through the indices — instead of
+    materializing per-row values. Returns ``None`` for columns that are
+    neither primitive nor VARCHAR.
     """
-    if isinstance(block, LazyBlock):
-        block = block.load()
-    if isinstance(block, DictionaryBlock) and isinstance(
-        block.dictionary, PrimitiveBlock
-    ):
-        inner = primitive_arrays(block.dictionary)
-        assert inner is not None
-        values, entry_nulls, kind = inner
-        indices = block.indices
-        if len(values) == 0:
-            return np.zeros(len(indices), dtype=np.int64), 1, None
-        codes, nan_mask = _canonical_codes(values, kind)
-        uniq, entry_inverse = np.unique(codes, return_inverse=True)
-        entry_inverse = entry_inverse.astype(np.int64, copy=False).reshape(-1)
-        null_code = len(uniq)
-        entry_codes = np.where(entry_nulls, null_code, entry_inverse)
-        clipped = np.clip(indices, 0, None)
-        row_codes = np.where(indices < 0, np.int64(null_code), entry_codes[clipped])
-        nan_rows = None
-        if nan_mask is not None and nan_mask.any():
-            entry_nan = nan_mask & ~entry_nulls
-            nan_rows = entry_nan[clipped] & (indices >= 0)
-        return row_codes, len(uniq) + 1, nan_rows
-    arrays = primitive_arrays(block)
-    if arrays is None:
-        return None
-    values, nulls, kind = arrays
-    codes, nan_mask = _canonical_codes(values, kind)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-    # Nulls are their own per-column code.
-    inverse = np.where(nulls, np.int64(len(uniq)), inverse)
+    base, indices = _flatten_dictionary(block)
+    if indices is not None and len(base) == 0:
+        # Every row is NULL against an empty dictionary.
+        return np.zeros(len(indices), dtype=np.int64), 1, None
+    column = _flat_codes(base)
+    if column is None or indices is None:
+        return column
+    entry_codes, cardinality, entry_nan = column
+    clipped = np.clip(indices, 0, None)
+    codes = np.where(indices < 0, np.int64(cardinality - 1), entry_codes[clipped])
     nan_rows = None
-    if nan_mask is not None and nan_mask.any():
-        # Null rows gather arbitrary backing values; only non-null NaNs
-        # become singletons.
-        nan_rows = nan_mask & ~nulls
-    return inverse, len(uniq) + 1, nan_rows
+    if entry_nan is not None:
+        nan_rows = entry_nan[clipped] & (indices >= 0)
+    return codes, cardinality, nan_rows
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +323,8 @@ class Factorization:
 
 
 def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization]:
-    """Group rows by exact key equality; None when any column is object.
+    """Group rows by exact key equality; None when any column is neither
+    primitive nor VARCHAR.
 
     An empty ``blocks`` sequence means a single global group (zero-key
     aggregation).
@@ -280,6 +340,7 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
             np.zeros(row_count, dtype=np.int64), 1, np.zeros(1, dtype=np.int64)
         )
     combined = None
+    bound = 1  # every combined code is < bound
     nan_any = None
     for block in blocks:
         column = _column_codes(block)
@@ -289,13 +350,16 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
         if nan_rows is not None:
             nan_any = nan_rows if nan_any is None else (nan_any | nan_rows)
         if combined is None:
-            combined = inverse
-        else:
-            # Exact (collision-free) combine: the previous step's codes are
-            # dense, so combined * cardinality + inverse is injective.
-            combined = combined * cardinality + inverse
-            combined = np.unique(combined, return_inverse=True)[1]
+            combined, bound = inverse, cardinality
+            continue
+        if bound * cardinality >= 2**62:
+            # Re-densify before the mixed-radix code could overflow int64.
+            uniq, combined = np.unique(combined, return_inverse=True)
             combined = combined.astype(np.int64, copy=False).reshape(-1)
+            bound = len(uniq)
+        # Exact (collision-free) mixed-radix combine.
+        combined = combined * cardinality + inverse
+        bound *= cardinality
     assert combined is not None
     if nan_any is not None and nan_any.any():
         combined = combined.copy()
@@ -312,10 +376,40 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
     return Factorization(rank[inverse], len(order), first_index[order])
 
 
+def _column_values(block: Block, positions: np.ndarray) -> list:
+    """``[block.get(p) for p in positions]``, gathered in bulk."""
+    base, indices = _flatten_dictionary(block)
+    nulls = None
+    if indices is not None:
+        positions = indices[positions]
+        nulls = positions < 0
+        if nulls.all():
+            return [None] * len(positions)
+        positions = np.where(nulls, 0, positions)
+    if isinstance(base, PrimitiveBlock):
+        values = base.values[positions].tolist()
+        base_nulls = base.nulls[positions]
+        nulls = base_nulls if nulls is None else (nulls | base_nulls)
+    elif isinstance(base, ObjectBlock):
+        values = list(map(base.items.__getitem__, positions.tolist()))
+    elif isinstance(base, RunLengthBlock):
+        values = [base.value] * len(positions)
+    else:
+        values = [base.get(p) for p in positions.tolist()]
+    if nulls is not None and nulls.any():
+        for j in np.flatnonzero(nulls).tolist():
+            values[j] = None
+    return values
+
+
 def key_tuples(blocks: Sequence[Block], positions: np.ndarray) -> list[tuple]:
     """Materialize representative key tuples (python values, row-path
-    compatible) for the given positions."""
-    return [tuple(block.get(int(p)) for block in blocks) for p in positions]
+    compatible) for the given positions: each column is gathered once
+    and the columns are zipped."""
+    positions = np.asarray(positions, dtype=np.int64)
+    if not blocks:
+        return [()] * len(positions)
+    return list(zip(*(_column_values(block, positions) for block in blocks)))
 
 
 def group_reduce(
@@ -534,38 +628,46 @@ def _hash_primitive(values, nulls, kind: str):
     return column_hash, fallback
 
 
+def _flat_hash(block: Block):
+    """:func:`_column_hash` for a block that is neither lazy nor a
+    dictionary."""
+    arrays = _flat_primitive_arrays(block)
+    if arrays is not None:
+        return _hash_primitive(*arrays)
+    column = _string_codes(block)
+    if column is None:
+        return None
+    codes, distinct = column
+    # One scalar stable_hash per distinct string, gathered through the
+    # codes; NULL (the last code) hashes to 0.
+    entry_hash = np.fromiter(
+        map(stable_hash, distinct), dtype=np.uint64, count=len(distinct)
+    )
+    return np.append(entry_hash, np.uint64(0))[codes], None
+
+
 def _column_hash(block: Block):
     """Stable column hashes for one key block.
 
     Dictionary blocks hash once per *entry* and gather through the
     indices (NULL rows hash to 0, as in the scalar path). Returns
-    ``None`` for object-typed columns.
+    ``None`` for columns that are neither primitive nor VARCHAR.
     """
-    if isinstance(block, LazyBlock):
-        block = block.load()
-    if isinstance(block, DictionaryBlock) and isinstance(
-        block.dictionary, PrimitiveBlock
-    ):
-        inner = primitive_arrays(block.dictionary)
-        assert inner is not None
-        values, entry_nulls, kind = inner
-        indices = block.indices
-        if len(values) == 0:
-            return np.zeros(len(indices), dtype=np.uint64), None
-        entry_hash, entry_fallback = _hash_primitive(values, entry_nulls, kind)
-        clipped = np.clip(indices, 0, None)
-        column_hash = np.where(indices < 0, np.uint64(0), entry_hash[clipped])
-        fallback = None
-        if entry_fallback is not None:
-            fallback = entry_fallback[clipped] & (indices >= 0)
-            if not fallback.any():
-                fallback = None
-        return column_hash, fallback
-    arrays = primitive_arrays(block)
-    if arrays is None:
-        return None
-    values, nulls, kind = arrays
-    return _hash_primitive(values, nulls, kind)
+    base, indices = _flatten_dictionary(block)
+    if indices is not None and len(base) == 0:
+        return np.zeros(len(indices), dtype=np.uint64), None
+    column = _flat_hash(base)
+    if column is None or indices is None:
+        return column
+    entry_hash, entry_fallback = column
+    clipped = np.clip(indices, 0, None)
+    column_hash = np.where(indices < 0, np.uint64(0), entry_hash[clipped])
+    fallback = None
+    if entry_fallback is not None:
+        fallback = entry_fallback[clipped] & (indices >= 0)
+        if not fallback.any():
+            fallback = None
+    return column_hash, fallback
 
 
 def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
@@ -576,7 +678,8 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
     primitive, another object-typed) and must agree on partitions. Rows
     whose float keys overflow the int64 fast path are rehashed through
     the scalar function (preserving its exact behavior, exceptions
-    included). Returns None for object-typed keys.
+    included). Returns None for keys that are neither primitive nor
+    VARCHAR.
     """
     if not enabled():
         return None

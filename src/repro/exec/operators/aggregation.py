@@ -244,7 +244,7 @@ class HashAggregationOperator(AccumulatingOperator):
                 states[index] = function.add(states[index], *args)
 
     def _accumulate_rows(self, page: Page) -> None:
-        """Whole-page fallback when the group keys are object-typed."""
+        """Whole-page fallback when a group key is a nested type (ARRAY/MAP/ROW)."""
         key_columns = [page.block(c).to_values() for c in self.group_channels]
         agg_columns = [
             [page.block(c).to_values() for c in agg.argument_channels]
@@ -258,7 +258,7 @@ class HashAggregationOperator(AccumulatingOperator):
         ]
         final_step = self.step is AggregationStep.FINAL
         groups = self._groups
-        for row in range(page.row_count):  # row-path: object-typed group keys
+        for row in range(page.row_count):  # row-path: nested-type group keys
             key = tuple(col[row] for col in key_columns)
             states = groups.get(key)
             if states is None:

@@ -485,7 +485,7 @@ class SemiJoinBuildOperator(Operator):
                     self._values.add(key if len(key) > 1 else key[0])
             return
         columns = [block.to_values() for block in key_blocks]
-        for row in range(page.row_count):  # row-path: object-typed keys
+        for row in range(page.row_count):  # row-path: nested-type keys
             key = tuple(col[row] for col in columns)
             if any(k is None for k in key):
                 self._has_null = True
@@ -570,7 +570,7 @@ class SemiJoinOperator(StreamingOperator):
             return page.append_column(ObjectBlock(matches))
         columns = [block.to_values() for block in key_blocks]
         matches = []
-        for row in range(page.row_count):  # row-path: object-typed keys
+        for row in range(page.row_count):  # row-path: nested-type keys
             key = tuple(col[row] for col in columns)
             probe = key if multi else key[0]
             if null_aware:

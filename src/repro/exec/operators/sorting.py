@@ -156,7 +156,7 @@ class DistinctOperator(StreamingOperator):
                     seen.add(key)
                     positions.append(int(fact.first_positions[g]))
         else:
-            for i, row in enumerate(page.rows()):  # row-path: object-typed rows
+            for i, row in enumerate(page.rows()):  # row-path: nested-type columns
                 if row not in seen:
                     seen.add(row)
                     positions.append(i)

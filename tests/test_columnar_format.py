@@ -195,6 +195,43 @@ def test_hive_sink_batch_matches_row_layout():
     assert layouts[kernels.VECTOR] == layouts[kernels.ROW]
 
 
+def test_hive_varchar_partitioned_insert_matches_row_files():
+    """VARCHAR partition keys take the factorized sink too: an INSERT
+    into ~100 partitions, small enough files to roll, must write the
+    same files holding the same rows in the same order as the row
+    sink."""
+    contents = {}
+    for mode in (kernels.VECTOR, kernels.ROW):
+        with kernels.forced_mode(mode):
+            engine = LocalEngine(catalog="hive", schema="default")
+            hive = HiveConnector(stripe_rows=16, max_rows_per_file=8)
+            engine.register_catalog("hive", hive)
+            engine.register_catalog("tpch", TpchConnector(scale_factor=0.001))
+            select = (
+                "SELECT orderkey, totalprice, CAST(custkey % 97 AS VARCHAR) AS tag "
+                "FROM tpch.tiny.orders"
+            )
+            engine.execute(
+                "CREATE TABLE v WITH (partitioned_by = 'tag') AS "
+                f"{select} WHERE orderkey < 0"
+            )
+            engine.execute(f"INSERT INTO v {select}")
+            table = hive.metastore.require_table("default", "v")
+            files = {}
+            for partition, info in table.partitions.items():
+                for path in sorted(info.file_paths):
+                    reader = OrcReader(
+                        hive.dfs.stat(path).payload, ["orderkey", "totalprice"],
+                        lazy=False,
+                    )
+                    files[path] = [row for page in reader.pages() for row in page.rows()]
+            contents[mode] = (list(table.partitions), files)
+    partitions, files = contents[kernels.VECTOR]
+    assert len(partitions) == 97
+    assert len(files) > len(partitions)  # some partitions rolled files
+    assert contents[kernels.VECTOR] == contents[kernels.ROW]
+
+
 def test_raptor_sink_batch_matches_row_buckets():
     """Batch bucket assignment (kernels.hash_rows) must agree with the
     scalar stable_bucket loop shard for shard."""

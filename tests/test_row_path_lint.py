@@ -36,6 +36,8 @@ HOT_FILES = [
     # processor they route through.
     "src/repro/exec/pipeline.py",
     "src/repro/exec/page_processor.py",
+    # The kernels themselves: VARCHAR keys are coded in dictionary space.
+    "src/repro/exec/kernels.py",
     # Storage layer (columnar scan PR): encode/decode and page sinks.
     "src/repro/connectors/hive/format.py",
     "src/repro/connectors/hive/connector.py",

@@ -119,6 +119,50 @@ def test_fig6_queries_match_between_vector_and_row_kernels():
         ), qid
 
 
+def test_fig6_queries_never_take_the_row_path(monkeypatch):
+    """Every fig6 group, DISTINCT, semi-join and shuffle key is primitive
+    or VARCHAR, so no page may fall back to the whole-page aggregation
+    row loop and no factorize / hash_rows call may decline."""
+    from repro.exec.operators.aggregation import HashAggregationOperator
+
+    declined = []
+    row_pages = []
+
+    def counting(name):
+        original = getattr(kernels, name)
+
+        def wrapper(blocks, row_count):
+            result = original(blocks, row_count)
+            if result is None:
+                declined.append((name, [type(b).__name__ for b in blocks]))
+            return result
+
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    counting("factorize")
+    counting("hash_rows")
+    accumulate_rows = HashAggregationOperator._accumulate_rows
+
+    def counting_rows(self, page):
+        row_pages.append(page.row_count)
+        return accumulate_rows(self, page)
+
+    monkeypatch.setattr(HashAggregationOperator, "_accumulate_rows", counting_rows)
+    hive = HiveConnector(statistics_enabled=True, catalog_name="hive")
+    setup_warehouse_dataset(hive, scale_factor=0.004)
+    with kernels.forced_mode(kernels.VECTOR):
+        for qid in FIG6_QUERY_IDS:
+            cluster = SimCluster(
+                ClusterConfig(
+                    worker_count=8, default_catalog="hive", default_schema="default"
+                )
+            )
+            cluster.register_catalog("hive", hive)
+            cluster.run_query(TPCDS_ANALOG_QUERIES[qid]).rows()
+    assert row_pages == []
+    assert declined == []
+
+
 def test_run_workload_end_to_end():
     cluster = SimCluster(
         ClusterConfig(worker_count=2, default_catalog="hive", default_schema="default")
